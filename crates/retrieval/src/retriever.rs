@@ -112,10 +112,19 @@ impl TwoLayerRetriever {
         &self.indexes
     }
 
+    /// The most keys a request with `preclicks` pre-click items can expand
+    /// to: the raw query and every pre-click item are a key each and bring
+    /// at most `expansion_per_index` more from each of their two
+    /// first-layer indices.
+    pub(crate) fn max_keys(&self, preclicks: usize) -> usize {
+        (1 + 2 * self.config.expansion_per_index) * (1 + preclicks)
+    }
+
     /// First layer: expand the raw query and pre-click items into a weighted
     /// key set, appended to the caller-owned `keys` scratch buffer (cleared
-    /// first) so batch callers reuse one allocation. Counts postings scanned
-    /// into `stats`.
+    /// first) so batch callers reuse one allocation. The buffer is reserved
+    /// up front for [`TwoLayerRetriever::max_keys`], so it never regrows
+    /// mid-expansion. Counts postings scanned into `stats`.
     pub(crate) fn expand_keys_into(
         &self,
         query: u32,
@@ -125,6 +134,7 @@ impl TwoLayerRetriever {
     ) {
         let k = self.config.expansion_per_index;
         keys.clear();
+        keys.reserve(self.max_keys(preclick_items.len()));
         // the raw query itself carries full weight
         keys.push(Key {
             id: query,
@@ -217,16 +227,15 @@ impl TwoLayerRetriever {
         let per_key = self.config.ads_per_key;
         let candidates: Vec<&[(u32, f64)]> = keys
             .iter()
-            .map(|key| {
-                let c = self.key_candidates(key, per_key);
-                stats.postings_scanned += c.len();
-                c
-            })
+            .map(|key| self.key_candidates(key, per_key))
             .collect();
-        let mut scratch = HashMap::new();
+        let scanned: usize = candidates.iter().map(|c| c.len()).sum();
+        stats.postings_scanned += scanned;
+        // one slot per scanned posting: the distinct ads can be no more
+        let mut scratch = HashMap::with_capacity(scanned);
         let ads = score_candidates(
             &keys,
-            &candidates,
+            candidates.iter().copied(),
             self.config.final_top_n,
             &mut scratch,
             &mut stats,
@@ -283,9 +292,11 @@ impl TwoLayerRetriever {
                 };
                 candidates.push(slice);
             }
+            scratch.clear();
+            scratch.reserve(candidates.iter().map(|c| c.len()).sum());
             let ads = score_candidates(
                 &keys,
-                &candidates,
+                candidates.iter().copied(),
                 self.config.final_top_n,
                 &mut scratch,
                 &mut stats,
@@ -332,17 +343,25 @@ impl TwoLayerRetriever {
 /// reported coverage source answers "would this request be covered without
 /// the expansion / pre-click channels?".
 ///
-/// `candidates` is aligned with `keys` (one list per key occurrence).
+/// `candidates` yields one list per key occurrence, aligned with `keys`;
+/// callers pass borrowed slices — of the index, of a batch cache or of a
+/// sharded gather's arena — so scoring never copies or collects them.
 /// Scan counting is the *caller's* job — done where the candidates are
 /// fetched, so deduplicated fetches are not double-counted here.
-/// `merged_scratch` is a reusable accumulator (cleared on entry).
-pub(crate) fn score_candidates(
+/// `merged_scratch` is a reusable accumulator (cleared on entry; callers
+/// pre-size it to the candidate count so it never rehashes mid-request).
+pub(crate) fn score_candidates<'c, I>(
     keys: &[Key],
-    candidates: &[&[(u32, f64)]],
+    candidates: I,
     final_top_n: usize,
     merged_scratch: &mut HashMap<u32, f64>,
     stats: &mut RetrievalStats,
-) -> Vec<RetrievedAd> {
+) -> Vec<RetrievedAd>
+where
+    I: IntoIterator<Item = &'c [(u32, f64)]>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let candidates = candidates.into_iter();
     debug_assert_eq!(keys.len(), candidates.len());
     let mut origins: (bool, bool, bool) = (false, false, false);
     merged_scratch.clear();

@@ -26,11 +26,11 @@
 //! * **Parallel request fan-out** ([`ShardedEngineBuilder::fanout_threads`],
 //!   default 1): serving a request gathers, for every expanded key, each
 //!   shard's posting-list prefix. Those per-key gathers are independent,
-//!   so they run on a persistent, condvar-parked
-//!   [`PersistentPool`] —
+//!   so they run — one contiguous chunk of keys per worker — on a
+//!   persistent, condvar-parked [`PersistentPool`] —
 //!   spawned once at build time and reused across every request, so the
 //!   steady-state serving path performs zero thread spawns — and are
-//!   merged back in key order, byte-identical to the sequential path
+//!   appended back in key order, byte-identical to the sequential path
 //!   (the property test in this module pins both axes for shard counts
 //!   1 / 2 / 4 / 7). The scoped [`WorkerPool`] remains the *build*
 //!   executor: offline shard builds want a burst of threads per call,
@@ -78,6 +78,11 @@
 //! contributes its posting-list prefix for the key, the prefixes are
 //! merged in the index build's `(distance, id)` order and re-cut to the
 //! global prefix length, and only then does the shared scoring path run.
+//! The prefixes arrive sorted, so the merge is a k-way merge that stops
+//! at the cut (`merge_prefixes`, property-tested against
+//! concatenate + sort + truncate): every key's merged prefix lands in one
+//! flat, pre-sized arena per request (per batch on the batch path), and
+//! scoring borrows its slices — no sort, and no list built per key.
 //! Because posting lists are the k smallest `(distance, id)` pairs and
 //! shards partition the candidates, the merged prefix is bit-for-bit the
 //! prefix a whole-corpus index would have produced — parity holds for the
@@ -90,7 +95,9 @@
 //! different quantisation than whole-corpus clustering, so partial probes
 //! may recall different candidates per shard.
 
+use std::cmp;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 // amcad-lint: allow(no-std-sync-primitives) — the hedge rendezvous parks on std::sync::Condvar, which only pairs with std MutexGuard; poison is recovered via PoisonError::into_inner
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -106,8 +113,80 @@ use crate::retriever::{score_candidates, Key, RetrievalConfig};
 use crate::runtime::park_pool::PersistentPool;
 
 /// Batch-scope gather cache: `(is_item, key id)` → (index of the request
-/// that first gathered it, the merged whole-corpus candidate prefix).
-type MergedCache = HashMap<(bool, u32), (usize, Vec<(u32, f64)>)>;
+/// that first gathered it, index of the key's span in the batch arena —
+/// the span holding its merged whole-corpus candidate prefix).
+type MergedCache = HashMap<(bool, u32), (usize, usize)>;
+
+/// Replica sets up to this size take [`ReplicatedShard::pick`]'s routing
+/// snapshot on the stack; larger ones spill it to one heap buffer per
+/// pick.
+const INLINE_REPLICAS: usize = 16;
+
+/// The index build's posting order: distance by `total_cmp` (NaN
+/// distances were normalised to +inf at build time, and `total_cmp` keeps
+/// the order total regardless), then ad id.
+fn posting_order(a: &(u32, f64), b: &(u32, f64)) -> cmp::Ordering {
+    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0))
+}
+
+/// K-way merge of candidate prefixes that are each sorted in
+/// [`posting_order`]: appends the `cut` smallest entries across all of
+/// `lists` to `out` — exactly what concatenating the lists, stable-sorting
+/// by [`posting_order`] and truncating to `cut` returns, without the sort
+/// or an intermediate list. `lists` holds one cursor per shard and is
+/// consumed: each slice is advanced past the entries it contributed, so
+/// callers refill it per key. A linear scan over the heads picks each
+/// output (the shard count is small), the first list winning exact ties
+/// just as the stable sort keeps concatenation order.
+fn merge_prefixes(lists: &mut [&[(u32, f64)]], cut: usize, out: &mut Vec<(u32, f64)>) {
+    debug_assert!(
+        lists
+            .iter()
+            .all(|list| list.windows(2).all(|w| posting_order(&w[0], &w[1]).is_le())),
+        "shard prefixes must arrive in posting order"
+    );
+    for _ in 0..cut {
+        let mut best: Option<usize> = None;
+        for (s, list) in lists.iter().enumerate() {
+            let Some(head) = list.first() else { continue };
+            if best.is_none_or(|b| posting_order(head, &lists[b][0]).is_lt()) {
+                best = Some(s);
+            }
+        }
+        let Some(b) = best else { break }; // every list is exhausted
+        out.push(lists[b][0]);
+        lists[b] = &lists[b][1..];
+    }
+}
+
+/// Merge every key's shard prefixes into one flat arena: for each key
+/// index in `keys`, `prefixes(k)` yields the shards' sorted prefixes for
+/// that key, their [`merge_prefixes`] result of at most `cut` entries is
+/// appended to `pairs`, and its span of `pairs` to `ranges`. One cursor
+/// buffer serves every key; nothing is allocated per key.
+fn merge_key_prefixes<'a, I>(
+    keys: Range<usize>,
+    prefixes: impl Fn(usize) -> I,
+    cut: usize,
+    pairs: &mut Vec<(u32, f64)>,
+    ranges: &mut Vec<Range<usize>>,
+) where
+    I: Iterator<Item = &'a [(u32, f64)]>,
+{
+    let mut heads: Vec<&[(u32, f64)]> = Vec::new();
+    for k in keys {
+        heads.clear();
+        heads.extend(prefixes(k));
+        let start = pairs.len();
+        merge_prefixes(&mut heads, cut, pairs);
+        ranges.push(start..pairs.len());
+    }
+}
+
+/// The candidates of one key: its span of a gather arena.
+fn span<'a>(pairs: &'a [(u32, f64)], range: &Range<usize>) -> &'a [(u32, f64)] {
+    &pairs[range.start..range.end]
+}
 
 /// Deterministic shard assignment for an ad id (Fibonacci hashing): the
 /// same ad always lands on the same shard, independent of shard build
@@ -583,33 +662,33 @@ impl ReplicatedShard {
     /// draining (weight 0), plain round-robin over the healthy set takes
     /// over: availability beats draining. `shard` is only for the error
     /// report.
+    ///
+    /// Allocation-free for up to [`INLINE_REPLICAS`] replicas: each
+    /// attempt snapshots every replica's routing weight (`None` = down)
+    /// into a stack array, hoisted out of the retry loop.
     fn pick(&self, shard: usize) -> Result<u32, RetrievalError> {
         let n = self.slots.len();
-        // hoisted out of the retry loop: a pick that fails over reuses
-        // the replica scratch instead of reallocating it per attempt
-        let mut weights = Vec::with_capacity(n);
-        let mut healthy = Vec::with_capacity(n);
+        let mut inline = [None; INLINE_REPLICAS];
+        let mut spilled = Vec::new();
+        let snapshot: &mut [Option<u64>] = if n <= INLINE_REPLICAS {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, None);
+            &mut spilled
+        };
         // amcad-lint: allow(unbounded-fanout) — failover retry loop: each retry first marks one replica down, so iterations are bounded by the replica count
         loop {
             // round-robin ticket: RMW atomicity spreads concurrent picks;
             // which exact slot a pick lands on is not a correctness
             // property, so Relaxed
             let start = self.cursor.fetch_add(1, Ordering::Relaxed);
-            weights.clear();
-            healthy.clear();
             let mut total: u64 = 0;
             let mut any_healthy = false;
-            for slot in &self.slots {
+            for (slot, weight) in self.slots.iter().zip(snapshot.iter_mut()) {
                 let up = !slot.down.load(Ordering::Acquire);
                 any_healthy |= up;
-                let w = if up {
-                    slot.weight.load(Ordering::Acquire)
-                } else {
-                    0
-                };
-                total += w;
-                weights.push(w);
-                healthy.push(up);
+                *weight = up.then(|| slot.weight.load(Ordering::Acquire));
+                total += weight.unwrap_or(0);
             }
             if !any_healthy {
                 return Err(RetrievalError::ShardUnavailable { shard, replicas: n });
@@ -618,7 +697,7 @@ impl ReplicatedShard {
                 // every healthy replica is drained — serve anyway
                 (0..n)
                     .map(|k| (start + k) % n)
-                    .find(|&r| healthy[r])
+                    .find(|&r| snapshot[r].is_some())
                     .expect("any_healthy checked above")
             } else {
                 // cursor-driven inverse-CDF over the integer weights:
@@ -626,7 +705,8 @@ impl ReplicatedShard {
                 // healthy weights are equal
                 let mut x = start as u64 % total;
                 let mut chosen = 0;
-                for (r, &w) in weights.iter().enumerate() {
+                for (r, w) in snapshot.iter().enumerate() {
+                    let w = w.unwrap_or(0);
                     if x < w {
                         chosen = r;
                         break;
@@ -739,10 +819,19 @@ struct GatherSlot {
 }
 
 /// What a replica gather delivers: who answered, and that shard's local
-/// posting-list prefix for every expanded key.
+/// posting-list prefix for every expanded key — flat, one span of
+/// `pairs` per key, in key order.
 struct GatherOutcome {
     replica: u32,
-    lists: Vec<Vec<(u32, f64)>>,
+    pairs: Vec<(u32, f64)>,
+    ranges: Vec<Range<usize>>,
+}
+
+impl GatherOutcome {
+    /// This shard's prefix for key `k`.
+    fn prefix(&self, k: usize) -> &[(u32, f64)] {
+        span(&self.pairs, &self.ranges[k])
+    }
 }
 
 impl GatherSlot {
@@ -754,10 +843,10 @@ impl GatherSlot {
     }
 
     /// Deliver a gather result; only the first delivery is kept.
-    fn deliver(&self, replica: u32, lists: Vec<Vec<(u32, f64)>>) {
+    fn deliver(&self, outcome: GatherOutcome) {
         let mut slot = self.outcome.lock().unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
-            *slot = Some(GatherOutcome { replica, lists });
+            *slot = Some(outcome);
             self.ready.notify_all();
         }
     }
@@ -803,7 +892,8 @@ impl GatherSlot {
 /// Launch one replica gather as a background task on the persistent
 /// pool. The task owns everything it touches (`Arc`s and copies), so an
 /// abandoned straggler — its sibling already won — finishes harmlessly
-/// in the background.
+/// in the background: it copies the shard's prefixes into one flat,
+/// pre-sized buffer it delivers, not into a list per key.
 ///
 /// A gather against an artificially delayed replica (the
 /// [`ReplicatedShard::delay_replica`] fault hook) runs on a throwaway
@@ -827,12 +917,18 @@ fn spawn_gather(
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        let lists: Vec<Vec<(u32, f64)>> = keys
-            .iter()
-            // amcad-lint: allow(alloc-in-hot-loop) — the gather must own its lists: an abandoned straggler outlives every borrow of the engine's postings (see the fn doc), so copying out is the safety contract, not an oversight
-            .map(|key| engine.retriever().key_candidates(key, per_key).to_vec())
-            .collect();
-        slot.deliver(replica, lists);
+        let mut pairs = Vec::with_capacity(keys.len() * per_key);
+        let mut ranges = Vec::with_capacity(keys.len());
+        for key in keys.iter() {
+            let start = pairs.len();
+            pairs.extend_from_slice(engine.retriever().key_candidates(key, per_key));
+            ranges.push(start..pairs.len());
+        }
+        slot.deliver(GatherOutcome {
+            replica,
+            pairs,
+            ranges,
+        });
     };
     if delay.is_zero() {
         pool.spawn(gather);
@@ -872,25 +968,13 @@ pub struct ShardedEngine {
 }
 
 /// How a request's per-key shard gathers execute: inline on the calling
-/// thread (width 1), or stolen by the deployment's persistent parked
-/// pool. The enum keeps the width-1 path free of any queue interaction.
+/// thread (width 1), or as contiguous chunks of keys stolen by the
+/// deployment's persistent parked pool. The enum keeps the width-1 path
+/// free of any queue interaction.
 #[derive(Debug, Clone)]
 enum FanoutExec {
     Inline,
     Pooled(Arc<PersistentPool>),
-}
-
-impl FanoutExec {
-    fn run<T, F>(&self, jobs: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        match self {
-            FanoutExec::Inline => (0..jobs).map(f).collect(),
-            FanoutExec::Pooled(pool) => pool.run(jobs, f),
-        }
-    }
 }
 
 impl ShardedEngine {
@@ -1081,44 +1165,101 @@ impl ShardedEngine {
     /// work, so a degraded cluster rejects requests instead of silently
     /// serving a corpus with a hole in it.
     fn route(&self) -> Result<Vec<ReplicaId>, RetrievalError> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                shard.pick(s).map(|replica| ReplicaId {
-                    shard: s as u32,
-                    replica,
-                })
-            })
-            .collect()
+        // pre-sized: collecting an iterator of `Result`s cannot see its
+        // length, and would regrow the route at wider topologies
+        let mut route = Vec::with_capacity(self.shards.len());
+        for (s, shard) in self.shards.iter().enumerate() {
+            route.push(ReplicaId {
+                shard: s as u32,
+                replica: shard.pick(s)?,
+            });
+        }
+        Ok(route)
     }
 
-    /// The globally correct candidate prefix of one key: every shard's
-    /// local prefix, merged in the index build's posting order (distance,
-    /// then id — NaN distances were normalised to +inf at build time) and
-    /// re-cut to the whole-corpus prefix length. A whole-corpus posting
-    /// list is at most `top_k` long, so the global cut is
+    /// Length of a key's whole-corpus candidate prefix. A whole-corpus
+    /// posting list is at most `top_k` long, so the global cut is
     /// `min(ads_per_key, top_k)`.
-    fn merged_candidates(&self, key: &Key) -> Vec<(u32, f64)> {
+    fn global_cut(&self) -> usize {
+        self.retrieval.ads_per_key.min(self.index_config.top_k)
+    }
+
+    /// Every active shard's local candidate prefix for `key`, in shard
+    /// order, borrowed straight from the shards' posting lists.
+    fn shard_prefixes<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = &'a [(u32, f64)]> + 'a {
         let per_key = self.retrieval.ads_per_key;
-        let global_cut = per_key.min(self.index_config.top_k);
-        let mut list: Vec<(u32, f64)> = Vec::new();
-        for shard in &self.shards {
-            list.extend_from_slice(shard.engine().retriever().key_candidates(key, per_key));
+        self.shards
+            .iter()
+            .map(move |shard| shard.engine().retriever().key_candidates(key, per_key))
+    }
+
+    /// The globally correct candidate prefix of every key in `keys`,
+    /// appended to a flat arena: each key's shard prefixes — already in
+    /// the index build's posting order — are k-way merged by
+    /// [`merge_prefixes`] and cut at [`ShardedEngine::global_cut`];
+    /// `pairs` gains the merged entries and `ranges` one span of `pairs`
+    /// per key, in key order. No sort runs and no list is built per key;
+    /// callers size the arena for `keys.len() * global_cut` entries.
+    ///
+    /// Inline fan-out merges straight into the arena. Pooled fan-out
+    /// gives each pool worker one contiguous chunk of keys, merged into a
+    /// chunk-local arena, and appends the chunks in key order — so both
+    /// produce the same arena entry for entry.
+    fn merged_candidates(
+        &self,
+        keys: &[Key],
+        pairs: &mut Vec<(u32, f64)>,
+        ranges: &mut Vec<Range<usize>>,
+    ) {
+        let cut = self.global_cut();
+        match &self.fanout {
+            FanoutExec::Inline => {
+                merge_key_prefixes(
+                    0..keys.len(),
+                    |k| self.shard_prefixes(&keys[k]),
+                    cut,
+                    pairs,
+                    ranges,
+                );
+            }
+            FanoutExec::Pooled(pool) => {
+                let chunk = keys.len().div_ceil(self.fanout_threads).max(1);
+                let chunks = pool.run(keys.len().div_ceil(chunk), |c| {
+                    let keys = &keys[c * chunk..keys.len().min((c + 1) * chunk)];
+                    let mut chunk_pairs = Vec::with_capacity(keys.len() * cut);
+                    let mut chunk_ranges = Vec::with_capacity(keys.len());
+                    merge_key_prefixes(
+                        0..keys.len(),
+                        |k| self.shard_prefixes(&keys[k]),
+                        cut,
+                        &mut chunk_pairs,
+                        &mut chunk_ranges,
+                    );
+                    (chunk_pairs, chunk_ranges)
+                });
+                for (chunk_pairs, chunk_ranges) in chunks {
+                    let base = pairs.len();
+                    pairs.extend_from_slice(&chunk_pairs);
+                    ranges.extend(
+                        chunk_ranges
+                            .into_iter()
+                            .map(|r| base + r.start..base + r.end),
+                    );
+                }
+            }
         }
-        list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        list.truncate(global_cut);
-        list
     }
 
     /// Serve one request: route to one healthy replica per shard (or fail
     /// with [`RetrievalError::ShardUnavailable`]), expand keys once
     /// (first-layer indices are replicated, so any shard's expansion is
-    /// *the* expansion), gather each key's merged whole-corpus candidate
-    /// prefix — on the fan-out pool when one is configured — then score
-    /// through the shared path. Scan counters are accumulated in key
-    /// order after the gather, so the parallel fan-out reports exactly
-    /// the sequential stats.
+    /// *the* expansion), gather every key's merged whole-corpus candidate
+    /// prefix into one pre-sized per-request arena (a k-way merge of the
+    /// shards' sorted prefixes — on the fan-out pool when one is
+    /// configured), then score slices borrowed from the arena
+    /// through the shared path. The gather lands in key order whatever
+    /// the fan-out width, so the parallel fan-out reports exactly the
+    /// sequential stats.
     pub fn retrieve(&self, request: &Request) -> Result<RetrievalResponse, RetrievalError> {
         if let Some(hedge) = &self.hedge {
             return self.retrieve_hedged(request, hedge);
@@ -1132,17 +1273,30 @@ impl ShardedEngine {
             &mut stats,
             &mut keys,
         );
-        let merged: Vec<Vec<(u32, f64)>> = self
-            .fanout
-            .run(keys.len(), |i| self.merged_candidates(&keys[i]));
-        for list in &merged {
-            stats.postings_scanned += list.len();
-        }
-        let candidates: Vec<&[(u32, f64)]> = merged.iter().map(Vec::as_slice).collect();
-        let mut scratch = HashMap::new();
+        let mut pairs = Vec::with_capacity(keys.len() * self.global_cut());
+        let mut ranges = Vec::with_capacity(keys.len());
+        self.merged_candidates(&keys, &mut pairs, &mut ranges);
+        self.respond(request, &keys, &pairs, &ranges, route, stats)
+    }
+
+    /// Score one request's gathered arena (one span of `pairs` per key in
+    /// `ranges`) and wrap the outcome: the scan count is the arena's
+    /// length, the scoring map is pre-sized to it, and an empty ranking is
+    /// [`RetrievalError::NoCoverage`].
+    fn respond(
+        &self,
+        request: &Request,
+        keys: &[Key],
+        pairs: &[(u32, f64)],
+        ranges: &[Range<usize>],
+        route: Vec<ReplicaId>,
+        mut stats: RetrievalStats,
+    ) -> Result<RetrievalResponse, RetrievalError> {
+        stats.postings_scanned += pairs.len();
+        let mut scratch = HashMap::with_capacity(pairs.len());
         let ads = score_candidates(
-            &keys,
-            &candidates,
+            keys,
+            ranges.iter().map(|range| span(pairs, range)),
             self.retrieval.final_top_n,
             &mut scratch,
             &mut stats,
@@ -1164,12 +1318,12 @@ impl ShardedEngine {
     /// [`RetrievalStats::served_by`] records the winner — the loser's
     /// gather finishes harmlessly in the background (it owns its data).
     ///
-    /// The per-key merge re-implements [`ShardedEngine::merged_candidates`]
-    /// over the gathered per-shard lists — same `(distance, id)` order,
-    /// same global cut — so the hedged path is *logically* byte-identical
-    /// to the unhedged one (parity-tested below): replicas serve
-    /// identical data, so hedging can only change the route, never the
-    /// ranking. Batches do not hedge: [`ShardedEngine::retrieve_batch`]
+    /// The winning gathers' prefixes go through the same k-way merge
+    /// ([`merge_key_prefixes`]) into the same kind of per-request arena
+    /// as [`ShardedEngine::retrieve`], so the hedged path is *logically*
+    /// byte-identical to the unhedged one (parity-tested below): replicas
+    /// serve identical data, so hedging can only change the route, never
+    /// the ranking. Batches do not hedge: [`ShardedEngine::retrieve_batch`]
     /// amortises gathers across requests, which already bounds the
     /// per-request straggler cost hedging exists to cut.
     fn retrieve_hedged(
@@ -1187,9 +1341,8 @@ impl ShardedEngine {
         );
         let keys = Arc::new(keys);
         let per_key = self.retrieval.ads_per_key;
-        let global_cut = per_key.min(self.index_config.top_k);
         let mut route = Vec::with_capacity(self.shards.len());
-        let mut per_shard: Vec<Vec<Vec<(u32, f64)>>> = Vec::with_capacity(self.shards.len());
+        let mut gathered: Vec<GatherOutcome> = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter().enumerate() {
             let primary = shard.pick(s)?;
             let slot = Arc::new(GatherSlot::new());
@@ -1215,62 +1368,57 @@ impl ShardedEngine {
                 shard: s as u32,
                 replica: outcome.replica,
             });
-            per_shard.push(outcome.lists);
+            gathered.push(outcome);
         }
-        let merged: Vec<Vec<(u32, f64)>> = (0..keys.len())
-            .map(|k| {
-                // amcad-lint: allow(alloc-in-hot-loop) — each merged list is an owned per-key output collected into `merged` and borrowed by scoring below; it cannot be a reused scratch buffer
-                let mut list: Vec<(u32, f64)> = Vec::new();
-                for lists in &per_shard {
-                    list.extend_from_slice(&lists[k]);
-                }
-                list.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                list.truncate(global_cut);
-                list
-            })
-            .collect();
-        for list in &merged {
-            stats.postings_scanned += list.len();
-        }
-        let candidates: Vec<&[(u32, f64)]> = merged.iter().map(Vec::as_slice).collect();
-        let mut scratch = HashMap::new();
-        let ads = score_candidates(
-            &keys,
-            &candidates,
-            self.retrieval.final_top_n,
-            &mut scratch,
-            &mut stats,
+        let cut = self.global_cut();
+        let mut pairs = Vec::with_capacity(keys.len() * cut);
+        let mut ranges = Vec::with_capacity(keys.len());
+        merge_key_prefixes(
+            0..keys.len(),
+            |k| gathered.iter().map(move |outcome| outcome.prefix(k)),
+            cut,
+            &mut pairs,
+            &mut ranges,
         );
-        stats.served_by = route;
-        if ads.is_empty() {
-            return Err(RetrievalError::NoCoverage {
-                query: request.query,
-                stats,
-            });
-        }
-        Ok(RetrievalResponse { ads, stats })
+        self.respond(request, &keys, &pairs, &ranges, route, stats)
     }
 
     /// Serve a batch with the same cross-request scan dedup as
     /// [`RetrievalEngine::retrieve_batch`]: the merged candidate prefix of
     /// each distinct `(layer, key)` is gathered from the shards once per
-    /// batch — each request's *new* keys gathered on the fan-out pool —
-    /// and attributed to the first request that needed it. Rankings and
+    /// batch — each request's *new* keys k-way merged, on the fan-out
+    /// pool when one is configured — into one arena for the whole batch,
+    /// cached as the index of its span of that arena and attributed to
+    /// the first request that needed it. One cache lookup per key serves
+    /// the dedup, the scan attribution and the scoring. Rankings and
     /// logical stats are identical to what the single-node batch path
     /// reports over the whole corpus — batching semantics are
-    /// topology-invariant. Each request is routed (and can fail over)
-    /// independently, so one request hitting a dead shard yields its own
-    /// [`RetrievalError::ShardUnavailable`] without poisoning the batch.
+    /// topology-invariant. Each request is routed (and can
+    /// fail over) independently, so one request hitting a dead shard
+    /// yields its own [`RetrievalError::ShardUnavailable`] without
+    /// poisoning the batch.
     pub fn retrieve_batch(
         &self,
         requests: &[Request],
     ) -> Vec<Result<RetrievalResponse, RetrievalError>> {
-        let mut fetched: MergedCache = HashMap::new();
+        // the batch arena: every distinct key's merged prefix, and its
+        // span, appended once — sized up front for the most keys the
+        // batch can expand to, so neither it nor the cache regrows
+        let retriever = self.shards[0].engine().retriever();
+        let max_keys: usize = requests
+            .iter()
+            .map(|request| retriever.max_keys(request.preclick_items.len()))
+            .sum();
+        let mut fetched: MergedCache = HashMap::with_capacity(max_keys);
+        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(max_keys * self.global_cut());
+        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(max_keys);
         // per-request scratch, pre-sized for the common fan-out (raw
         // query + expansions) and reused across the batch
+        let fan_out = 2 * (1 + self.retrieval.expansion_per_index);
         let mut keys: Vec<Key> = Vec::new();
-        let mut missing: Vec<Key> =
-            Vec::with_capacity(2 * (1 + self.retrieval.expansion_per_index));
+        let mut missing: Vec<Key> = Vec::with_capacity(fan_out);
+        // per key of the request: (first request, span index)
+        let mut slots: Vec<(usize, usize)> = Vec::with_capacity(fan_out);
         let mut scratch = HashMap::new();
         let mut out = Vec::with_capacity(requests.len());
         for (r, request) in requests.iter().enumerate() {
@@ -1282,47 +1430,42 @@ impl ShardedEngine {
                 }
             };
             let mut stats = RetrievalStats::default();
-            self.shards[0].engine().retriever().expand_keys_into(
+            retriever.expand_keys_into(
                 request.query,
                 &request.preclick_items,
                 &mut stats,
                 &mut keys,
             );
-            // gather pass: this request's not-yet-cached keys fan out on
-            // the pool, then land in the cache in key order
+            // lookup pass: a key not cached yet is queued for the gather
+            // and cached under the span index the gather will give it
+            // (the gather appends one span per queued key, in order)
             missing.clear();
+            slots.clear();
             for key in &keys {
-                let cached = fetched.contains_key(&(key.is_item, key.id));
-                let queued = missing
-                    .iter()
-                    .any(|m| m.is_item == key.is_item && m.id == key.id);
-                if !cached && !queued {
+                let next = ranges.len() + missing.len();
+                let slot = *fetched.entry((key.is_item, key.id)).or_insert_with(|| {
                     missing.push(*key);
-                }
+                    (r, next)
+                });
+                slots.push(slot);
             }
-            let gathered = self
-                .fanout
-                .run(missing.len(), |i| self.merged_candidates(&missing[i]));
-            for (key, list) in missing.iter().zip(gathered) {
-                fetched.insert((key.is_item, key.id), (r, list));
-            }
+            self.merged_candidates(&missing, &mut pairs, &mut ranges);
             // count pass: scans of a key first gathered by this request
             // are attributed here (a repeat within the *same* request
             // re-counts, mirroring the single path)
-            for key in &keys {
-                let (first, list) = &fetched[&(key.is_item, key.id)];
-                if *first == r {
-                    stats.postings_scanned += list.len();
+            let mut candidates = 0;
+            for &(first, i) in &slots {
+                if first == r {
+                    stats.postings_scanned += ranges[i].len();
                 }
+                candidates += ranges[i].len();
             }
-            // score pass: borrow the now-stable cache entries
-            let candidates: Vec<&[(u32, f64)]> = keys
-                .iter()
-                .map(|key| fetched[&(key.is_item, key.id)].1.as_slice())
-                .collect();
+            // score pass: borrow the request's spans of the batch arena
+            scratch.clear();
+            scratch.reserve(candidates);
             let ads = score_candidates(
                 &keys,
-                &candidates,
+                slots.iter().map(|&(_, i)| span(&pairs, &ranges[i])),
                 self.retrieval.final_top_n,
                 &mut scratch,
                 &mut stats,
@@ -1359,6 +1502,7 @@ mod tests {
     use super::*;
     use crate::test_fixtures::{random_points, shared_points, tiny_inputs};
     use amcad_mnn::{IndexBackend, IvfConfig, MixedPointSet};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1399,6 +1543,85 @@ mod tests {
                 preclick_items: vec![100 + (q % 10)],
             })
             .collect()
+    }
+
+    /// The reference the k-way merge must reproduce: concatenate the
+    /// lists in shard order, stable-sort by posting order, truncate.
+    fn sort_merge(lists: &[Vec<(u32, f64)>], cut: usize) -> Vec<(u32, f64)> {
+        let mut all: Vec<(u32, f64)> = lists.concat();
+        all.sort_by(posting_order);
+        all.truncate(cut);
+        all
+    }
+
+    fn kway_merge(lists: &[Vec<(u32, f64)>], cut: usize) -> Vec<(u32, f64)> {
+        let mut heads: Vec<&[(u32, f64)]> = lists.iter().map(Vec::as_slice).collect();
+        let mut out = Vec::new();
+        merge_prefixes(&mut heads, cut, &mut out);
+        out
+    }
+
+    proptest! {
+        /// The k-way merge returns exactly what concatenating, sorting
+        /// and truncating returns — over 1–7 lists, empty lists, +inf
+        /// distances (NaN postings after build-time normalisation), equal
+        /// distances across lists (few distinct values make ties common,
+        /// broken by id), `cut = 0` and cuts past the total length.
+        #[test]
+        fn kway_merge_matches_concat_sort_truncate(
+            seed in 0u64..u64::MAX,
+            n_lists in 1usize..8,
+            cut in prop_oneof![Just(0usize), 1usize..40, Just(usize::MAX)],
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lists: Vec<Vec<(u32, f64)>> = (0..n_lists)
+                .map(|_| {
+                    let len = if rng.gen_bool(0.25) { 0 } else { rng.gen_range(1..12usize) };
+                    let mut list: Vec<(u32, f64)> = (0..len)
+                        .map(|_| {
+                            let distance = match rng.gen_range(0..4u32) {
+                                0 => f64::INFINITY,
+                                1 => rng.gen_range(0..4u32) as f64 * 0.25,
+                                _ => rng.gen_range(0.0..3.0),
+                            };
+                            (rng.gen_range(0..48u32), distance)
+                        })
+                        .collect();
+                    list.sort_by(posting_order);
+                    list
+                })
+                .collect();
+            prop_assert_eq!(kway_merge(&lists, cut), sort_merge(&lists, cut));
+        }
+    }
+
+    #[test]
+    fn kway_merge_edge_cases_match_the_reference() {
+        let inf = f64::INFINITY;
+        let cases: Vec<Vec<Vec<(u32, f64)>>> = vec![
+            vec![vec![]],
+            vec![vec![], vec![], vec![]],
+            // equal distances across lists: the id decides
+            vec![vec![(9, 0.5), (11, 0.5)], vec![(3, 0.5), (10, 0.5)]],
+            // +inf postings sort after every finite one, by id
+            vec![vec![(1, 0.2), (4, inf)], vec![(2, inf)], vec![(7, 0.9)]],
+            // one non-empty list among empties
+            vec![vec![], vec![(5, 0.1), (6, 0.3)], vec![]],
+        ];
+        for lists in &cases {
+            let total: usize = lists.iter().map(Vec::len).sum();
+            for cut in [0, 1, 2, total, total + 5] {
+                assert_eq!(
+                    kway_merge(lists, cut),
+                    sort_merge(lists, cut),
+                    "{lists:?} cut {cut}"
+                );
+            }
+        }
+        assert_eq!(
+            kway_merge(&cases[2], 3),
+            vec![(3, 0.5), (9, 0.5), (10, 0.5)]
+        );
     }
 
     #[test]
